@@ -178,7 +178,18 @@ void BM_Bkp(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Bkp)->RangeMultiplier(2)->Range(8, 64)->Complexity();
+BENCHMARK(BM_Bkp)->RangeMultiplier(2)->Range(8, 256)->Complexity();
+
+void BM_BkpReference(benchmark::State& state) {
+  // The triple-loop oracle kept for differential testing, on the same
+  // instances as BM_Bkp; small n only (one extra factor of n).
+  const auto inst = classical_instance(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduling::bkp_reference(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_BkpReference)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 
 void BM_AvrM(benchmark::State& state) {
   const auto inst = classical_instance(64);
@@ -222,8 +233,9 @@ void BM_Bkpq(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::bkpq(inst));
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Bkpq)->RangeMultiplier(2)->Range(8, 64);
+BENCHMARK(BM_Bkpq)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 void BM_Oaq(benchmark::State& state) {
   const auto inst = gen::random_online(static_cast<int>(state.range(0)),

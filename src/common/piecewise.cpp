@@ -74,6 +74,14 @@ StepFunction StepFunction::sum_of(std::span<const Segment> pieces) {
   return out;
 }
 
+StepFunction StepFunction::from_disjoint(std::vector<Segment> pieces) {
+  // normalize() sorts, merges equal neighbours and ensures disjointness.
+  StepFunction f;
+  f.pieces_ = std::move(pieces);
+  f.normalize();
+  return f;
+}
+
 double StepFunction::value(Time t) const {
   // Pieces are sorted; find the piece with span.begin < t <= span.end.
   auto it = std::upper_bound(

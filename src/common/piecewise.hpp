@@ -41,6 +41,11 @@ class StepFunction {
   /// summing overlaps.
   [[nodiscard]] static StepFunction sum_of(std::span<const Segment> pieces);
 
+  /// Builds from pieces that are already pairwise disjoint (any order):
+  /// the same function as summing them with add_constant, without the
+  /// rebuild per piece.
+  [[nodiscard]] static StepFunction from_disjoint(std::vector<Segment> pieces);
+
   /// f(t) with the (.,.] convention: the value of the piece whose half-open
   /// span contains t; 0 outside the support.
   [[nodiscard]] double value(Time t) const;

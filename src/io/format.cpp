@@ -1,6 +1,7 @@
 #include "io/format.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <ios>
 #include <istream>
@@ -88,32 +89,62 @@ void write_qinstance(std::ostream& out, const core::QInstance& instance) {
   }
 }
 
-void write_instance(std::ostream& out, const scheduling::Instance& instance) {
-  out << "# release deadline work\n";
+void append_double(std::string& out, double v) {
+  char buf[32];  // "-d.dddddddddddddddde-308" needs 24
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10);
+  out.append(buf, r.ptr);
+}
+
+void append_instance(std::string& out, const scheduling::Instance& instance) {
+  out += "# release deadline work\n";
   for (const scheduling::ClassicalJob& j : instance.jobs()) {
-    out << j.release << ' ' << j.deadline << ' ' << j.work << '\n';
+    append_double(out, j.release);
+    out += ' ';
+    append_double(out, j.deadline);
+    out += ' ';
+    append_double(out, j.work);
+    out += '\n';
+  }
+}
+
+void write_instance(std::ostream& out, const scheduling::Instance& instance) {
+  std::string text;
+  append_instance(text, instance);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+void append_schedule(std::string& out, const scheduling::Schedule& schedule,
+                     double alpha) {
+  out += "# energy(alpha=";
+  append_double(out, alpha);
+  out += ") = ";
+  append_double(out, schedule.energy(alpha));
+  out += "\n# max_speed = ";
+  append_double(out, schedule.max_speed());
+  out += "\n# job begin end speed\n";
+  for (std::size_t j = 0; j < schedule.job_count(); ++j) {
+    const std::string id = std::to_string(j);
+    for (const Segment& p :
+         schedule.rate(static_cast<scheduling::JobId>(j)).pieces()) {
+      out += id;
+      out += ' ';
+      append_double(out, p.span.begin);
+      out += ' ';
+      append_double(out, p.span.end);
+      out += ' ';
+      append_double(out, p.value);
+      out += '\n';
+    }
   }
 }
 
 void write_schedule(std::ostream& out, const scheduling::Schedule& schedule,
                     double alpha) {
-  // Scoped precision bump: rate pieces round-trip losslessly through
-  // read_schedule, and interleaved caller output stays untouched.
-  const std::ios_base::fmtflags flags = out.flags();
-  const std::streamsize precision = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "# energy(alpha=" << alpha << ") = " << schedule.energy(alpha)
-      << "\n# max_speed = " << schedule.max_speed()
-      << "\n# job begin end speed\n";
-  for (std::size_t j = 0; j < schedule.job_count(); ++j) {
-    for (const Segment& p :
-         schedule.rate(static_cast<scheduling::JobId>(j)).pieces()) {
-      out << j << ' ' << p.span.begin << ' ' << p.span.end << ' ' << p.value
-          << '\n';
-    }
-  }
-  out.flags(flags);
-  out.precision(precision);
+  std::string text;
+  append_schedule(text, schedule, alpha);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 Parsed<scheduling::Schedule> read_schedule(std::istream& in,

@@ -46,13 +46,25 @@ struct Parsed {
 /// Writes a QBSS instance in the 5-column format.
 void write_qinstance(std::ostream& out, const core::QInstance& instance);
 
-/// Writes a classical instance in the 3-column format.
+/// Appends `v` as std::to_chars(general, 17): the text an ostream prints
+/// at max_digits10 precision, so it parses back to the same double.
+void append_double(std::string& out, double v);
+
+/// Appends a classical instance in the 3-column format, every number at
+/// max_digits10 precision.
+void append_instance(std::string& out, const scheduling::Instance& instance);
+
+/// Writes append_instance's text to a stream.
 void write_instance(std::ostream& out,
                     const scheduling::Instance& instance);
 
-/// Writes a fluid schedule: summary comments (energy at `alpha`, max
+/// Appends a fluid schedule: summary comments (energy at `alpha`, max
 /// speed), then one `job begin end speed` line per rate piece. Numbers
 /// carry max_digits10 precision so read_schedule round-trips losslessly.
+void append_schedule(std::string& out, const scheduling::Schedule& schedule,
+                     double alpha);
+
+/// Writes append_schedule's text to a stream.
 void write_schedule(std::ostream& out, const scheduling::Schedule& schedule,
                     double alpha);
 

@@ -469,9 +469,11 @@ void Router::proxy_solve(const std::shared_ptr<Connection>& conn,
       task.trace_id = frame.trace_id;
       enqueue_replication(std::move(task));
     }
-    respond(conn, frame.request_id, frame.trace_id, reply.status,
-            reply.cache_hit ? svc::kFlagCacheHit : 0, reply.payload,
-            elapsed_us(admitted));
+    const std::uint32_t flags =
+        (reply.cache_hit ? svc::kFlagCacheHit : 0u) |
+        (reply.disk_hit ? svc::kFlagDiskHit : 0u);
+    respond(conn, frame.request_id, frame.trace_id, reply.status, flags,
+            reply.payload, elapsed_us(admitted));
     return;
   }
 

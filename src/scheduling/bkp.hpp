@@ -49,7 +49,13 @@ struct OnlineRun {
 /// changes there).
 [[nodiscard]] OnlineRun bkp(const Instance& instance);
 
-/// Just the BKP nominal speed profile.
+/// Just the BKP nominal speed profile. One sweep per release epoch
+/// (docs/ALGORITHMS.md, "BKP"); byte-identical to bkp_reference.
 [[nodiscard]] StepFunction bkp_profile(const Instance& instance);
+
+/// The original direct triple loop (grid piece x deadline x release),
+/// kept as the oracle for differential tests; use `bkp_profile()`
+/// everywhere else.
+[[nodiscard]] StepFunction bkp_reference(const Instance& instance);
 
 }  // namespace qbss::scheduling

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "io/format.hpp"
@@ -147,12 +148,33 @@ bool parse_double_field(const std::string& value, double* out) {
   return static_cast<bool>(ss >> *out) && ss.eof();
 }
 
-/// max_digits10 rendering — payload numbers round-trip losslessly.
-std::string lossless(double v) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << v;
-  return out.str();
+// `key: value` lines of a solve result. Doubles go through
+// io::append_double (max_digits10), so payload numbers round-trip
+// losslessly.
+void put_text(std::string& out, std::string_view key, std::string_view v) {
+  out += key;
+  out += ": ";
+  out += v;
+  out += '\n';
+}
+
+template <typename Int>
+void put_count(std::string& out, std::string_view key, Int v) {
+  put_text(out, key, std::to_string(v));
+}
+
+void put_real(std::string& out, std::string_view key, double v) {
+  out += key;
+  out += ": ";
+  io::append_double(out, v);
+  out += '\n';
+}
+
+/// Hands a finished payload over at its exact size: it lives on in the
+/// result cache, which would otherwise hold the string's growth slack.
+void finish(std::string& out, std::string* payload) {
+  out.shrink_to_fit();
+  *payload = std::move(out);
 }
 
 }  // namespace
@@ -306,11 +328,11 @@ std::string serialize_request(const Request& request) {
   out.precision(std::numeric_limits<double>::max_digits10);
   out << "qbss-svc/1 solve\n";
   out << "algo: " << request.algo << '\n';
-  out << "alpha: " << lossless(request.alpha) << '\n';
+  out << "alpha: " << request.alpha << '\n';
   out << "machines: " << request.machines << '\n';
   out << "schedule: " << (request.want_schedule ? 1 : 0) << '\n';
   if (request.deadline_ms > 0.0) {
-    out << "deadline_ms: " << lossless(request.deadline_ms) << '\n';
+    out << "deadline_ms: " << request.deadline_ms << '\n';
   }
   out << "instance:\n";
   io::write_qinstance(out, request.instance);
@@ -462,11 +484,10 @@ bool solve_request(const Request& request, std::string* payload,
     return false;
   }
   const double alpha = request.alpha;
-  std::ostringstream out;
   // max_digits10 throughout: the classical section must carry the exact
   // doubles the schedule was computed against, or re-validation of the
   // (bit-exact) schedule dump fails on rounded deadlines and works.
-  out.precision(std::numeric_limits<double>::max_digits10);
+  std::string out;
 
   if (request.algo == "avrq_m") {
     if (request.want_schedule) {
@@ -479,15 +500,15 @@ bool solve_request(const Request& request, std::string* payload,
         core::validate_multi_run(request.instance, run).feasible;
     int queried = 0;
     for (const bool q : run.expansion.queried) queried += q ? 1 : 0;
-    out << "algo: avrq_m\n";
-    out << "alpha: " << lossless(alpha) << '\n';
-    out << "jobs: " << request.instance.size() << '\n';
-    out << "machines: " << request.machines << '\n';
-    out << "queried: " << queried << '\n';
-    out << "valid: " << (valid ? 1 : 0) << '\n';
-    out << "energy: " << lossless(run.energy(alpha)) << '\n';
-    out << "max_speed: " << lossless(run.max_speed()) << '\n';
-    *payload = out.str();
+    put_text(out, "algo", "avrq_m");
+    put_real(out, "alpha", alpha);
+    put_count(out, "jobs", request.instance.size());
+    put_count(out, "machines", request.machines);
+    put_count(out, "queried", queried);
+    put_count(out, "valid", valid ? 1 : 0);
+    put_real(out, "energy", run.energy(alpha));
+    put_real(out, "max_speed", run.max_speed());
+    finish(out, payload);
     return true;
   }
 
@@ -504,20 +525,20 @@ bool solve_request(const Request& request, std::string* payload,
     for (const core::QJob& j : request.instance.jobs()) {
       queried += j.optimum_queries() ? 1 : 0;
     }
-    out << "algo: opt\n";
-    out << "alpha: " << lossless(alpha) << '\n';
-    out << "jobs: " << request.instance.size() << '\n';
-    out << "queried: " << queried << '\n';
-    out << "valid: " << (valid ? 1 : 0) << '\n';
-    out << "energy: " << lossless(schedule.energy(alpha)) << '\n';
-    out << "max_speed: " << lossless(schedule.max_speed()) << '\n';
+    put_text(out, "algo", "opt");
+    put_real(out, "alpha", alpha);
+    put_count(out, "jobs", request.instance.size());
+    put_count(out, "queried", queried);
+    put_count(out, "valid", valid ? 1 : 0);
+    put_real(out, "energy", schedule.energy(alpha));
+    put_real(out, "max_speed", schedule.max_speed());
     if (request.want_schedule) {
-      out << "classical:\n";
-      io::write_instance(out, classical);
-      out << "schedule:\n";
-      io::write_schedule(out, schedule, alpha);
+      out += "classical:\n";
+      io::append_instance(out, classical);
+      out += "schedule:\n";
+      io::append_schedule(out, schedule, alpha);
     }
-    *payload = out.str();
+    finish(out, payload);
     return true;
   }
 
@@ -539,20 +560,20 @@ bool solve_request(const Request& request, std::string* payload,
   }
   valid = core::validate_run(request.instance, run).feasible;
   for (const bool q : run.expansion.queried) queried += q ? 1 : 0;
-  out << "algo: " << request.algo << '\n';
-  out << "alpha: " << lossless(alpha) << '\n';
-  out << "jobs: " << request.instance.size() << '\n';
-  out << "queried: " << queried << '\n';
-  out << "valid: " << (valid ? 1 : 0) << '\n';
-  out << "energy: " << lossless(run.energy(alpha)) << '\n';
-  out << "max_speed: " << lossless(run.max_speed()) << '\n';
+  put_text(out, "algo", request.algo);
+  put_real(out, "alpha", alpha);
+  put_count(out, "jobs", request.instance.size());
+  put_count(out, "queried", queried);
+  put_count(out, "valid", valid ? 1 : 0);
+  put_real(out, "energy", run.energy(alpha));
+  put_real(out, "max_speed", run.max_speed());
   if (request.want_schedule) {
-    out << "classical:\n";
-    io::write_instance(out, run.expansion.classical);
-    out << "schedule:\n";
-    io::write_schedule(out, run.schedule, alpha);
+    out += "classical:\n";
+    io::append_instance(out, run.expansion.classical);
+    out += "schedule:\n";
+    io::append_schedule(out, run.schedule, alpha);
   }
-  *payload = out.str();
+  finish(out, payload);
   return true;
 }
 

@@ -1,11 +1,19 @@
 // Tests of the plain-text instance/schedule formats: round-trips,
-// comment/whitespace handling, and precise parse-error reporting.
+// comment/whitespace handling, precise parse-error reporting, and the
+// stream-free double rendering matching the ostream one byte for byte.
 #include "io/format.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
+#include "common/xoshiro.hpp"
 #include "gen/random_instances.hpp"
 #include "scheduling/yds.hpp"
 
@@ -211,6 +219,52 @@ TEST(IoSchedule, ReadRejectsMalformedRows) {
     EXPECT_NE(parsed.error.message.find("out of range"),
               std::string::npos);
   }
+}
+
+TEST(IoDouble, AppendDoubleMatchesOstreamAtMaxDigits10) {
+  std::ostringstream ss;
+  ss.precision(std::numeric_limits<double>::max_digits10);
+  std::string text;
+  const auto expect_same = [&](double v) {
+    ss.str("");
+    ss << v;
+    text.clear();
+    append_double(text, v);
+    EXPECT_EQ(text, ss.str()) << "bits 0x" << std::hex
+                              << std::bit_cast<std::uint64_t>(v);
+  };
+
+  const std::vector<double> edges = {
+      0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN,
+      -DBL_TRUE_MIN, DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0), 1.0,
+      -1.0, 0.1, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0, 1e-5, 1e-4,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : edges) expect_same(v);
+
+  // Raw bit patterns cover every exponent (subnormals, NaN payloads,
+  // both signs) uniformly.
+  Xoshiro256 rng(2024);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_same(std::bit_cast<double>(rng()));
+    if (HasFailure()) break;
+  }
+}
+
+TEST(IoInstance, WriteMatchesAppendAtFullPrecision) {
+  scheduling::Instance inst;
+  inst.add(0.1, 1.0 / 3.0, 2.0 / 7.0);
+  inst.add(1.0, 5.0, 1e-300);
+  std::string text;
+  append_instance(text, inst);
+  EXPECT_EQ(text,
+            "# release deadline work\n"
+            "0.10000000000000001 0.33333333333333331 0.2857142857142857\n"
+            "1 5 1e-300\n");
+  std::ostringstream out;
+  write_instance(out, inst);
+  EXPECT_EQ(out.str(), text);
 }
 
 TEST(IoQInstance, EmptyInputYieldsEmptyInstance) {

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/interval_set.hpp"
+#include "common/xoshiro.hpp"
 
 namespace qbss {
 namespace {
@@ -129,6 +133,36 @@ TEST(StepFunction, MergeAdjacentEqualPieces) {
   f.add_constant({1.0, 2.0}, 2.0);
   EXPECT_EQ(f.pieces().size(), 1u);
   EXPECT_DOUBLE_EQ(f.pieces()[0].span.length(), 2.0);
+}
+
+TEST(StepFunction, FromDisjointMatchesAddConstantChainBitForBit) {
+  Xoshiro256 rng(7);
+  for (int trial = 0; trial < 100; ++trial) {
+    // Disjoint pieces, some touching, some with gaps, with values drawn
+    // from a small set so touching neighbours often merge, zeros included.
+    std::vector<Segment> pieces;
+    double t = rng.uniform(0.0, 1.0);
+    const int count = static_cast<int>(rng.below(40));
+    for (int i = 0; i < count; ++i) {
+      if (rng.chance(0.3)) t += rng.uniform(0.0, 0.5);
+      const double end = t + rng.uniform(0.01, 1.0);
+      const double values[] = {0.0, 0.5, 1.0 / 3.0, 2.0, 2.0};
+      pieces.push_back(Segment{{t, end}, values[rng.below(5)]});
+      t = end;
+    }
+    StepFunction chained;
+    for (const Segment& p : pieces) chained.add_constant(p.span, p.value);
+
+    std::shuffle(pieces.begin(), pieces.end(), rng);
+    const StepFunction built = StepFunction::from_disjoint(pieces);
+    ASSERT_EQ(built.pieces().size(), chained.pieces().size());
+    for (std::size_t i = 0; i < built.pieces().size(); ++i) {
+      EXPECT_EQ(std::memcmp(&built.pieces()[i], &chained.pieces()[i],
+                            sizeof(Segment)),
+                0)
+          << "trial " << trial << " piece " << i;
+    }
+  }
 }
 
 TEST(Interval, HalfOpenContains) {

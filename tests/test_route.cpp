@@ -4,7 +4,8 @@
 // end-to-end fleet — two real servers behind an in-process Router —
 // covering byte-identity with a direct backend call, trace-id echo,
 // per-backend stats, hot-key replication, breaker failover when a
-// backend dies, and the no-backend shed path.
+// backend dies, the no-backend shed path, and the disk-hit flag relayed
+// from a restarted disk-tier backend.
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/router.hpp"
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <sstream>
@@ -515,6 +517,79 @@ TEST(Router, FailsOverWhenABackendDiesAndShedsWhenAllDo) {
   EXPECT_EQ(shed.status, svc::Status::kShed);
   EXPECT_NE(shed.payload.find("no_backend"), std::string::npos)
       << shed.payload;
+}
+
+TEST(Router, RelaysTheDiskHitFlag) {
+  struct Paths {
+    std::string dir = "/tmp/qbss-route-" + std::to_string(::getpid()) +
+                      "-disk";
+    std::string backend = socket_path("disk");
+    std::string router = socket_path("disk-r");
+    Paths() {
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+    }
+    ~Paths() {
+      std::filesystem::remove_all(dir);
+      std::remove(backend.c_str());
+      std::remove(router.c_str());
+    }
+  } paths;
+
+  svc::ServerConfig backend;
+  backend.socket_path = paths.backend;
+  backend.workers = 1;
+  backend.cache_dir = paths.dir;
+  backend.cache_sync = "always";
+  const svc::Request request = solve_request(41);
+  std::string error;
+  std::string solved;
+  {
+    // First lifetime: one solve, persisted to the disk tier.
+    svc::Server server(backend);
+    ASSERT_TRUE(server.start(&error)) << error;
+    svc::Client client;
+    ASSERT_TRUE(client.connect_unix(paths.backend, &error)) << error;
+    svc::Client::Reply reply;
+    ASSERT_TRUE(client.call(request, &reply, &error)) << error;
+    ASSERT_EQ(reply.status, svc::Status::kOk) << reply.payload;
+    solved = reply.payload;
+    server.shutdown();
+    server.wait();
+  }
+
+  // Restarted on the same directory, the backend can only answer from
+  // disk; the routed client must see that, not just a plain cache hit.
+  svc::Server server(backend);
+  ASSERT_TRUE(server.start(&error)) << error;
+  RouterConfig config = fast_config();
+  config.hot_threshold = 0;
+  config.socket_path = paths.router;
+  config.topology.backends.push_back(
+      BackendSpec{"disk", svc::Endpoint{paths.backend, "", 0}, 1.0});
+  Router router(std::move(config));
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  svc::Client client;
+  ASSERT_TRUE(client.connect_unix(paths.router, &error)) << error;
+  svc::Client::Reply warm;
+  ASSERT_TRUE(client.call(request, &warm, &error)) << error;
+  ASSERT_EQ(warm.status, svc::Status::kOk) << warm.payload;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_TRUE(warm.disk_hit);
+  EXPECT_EQ(warm.payload, solved);
+
+  // The disk hit promoted the entry: the repeat is a memory hit.
+  svc::Client::Reply memory;
+  ASSERT_TRUE(client.call(request, &memory, &error)) << error;
+  EXPECT_TRUE(memory.cache_hit);
+  EXPECT_FALSE(memory.disk_hit);
+  EXPECT_EQ(memory.payload, solved);
+
+  router.shutdown();
+  router.wait();
+  server.shutdown();
+  server.wait();
 }
 
 }  // namespace
