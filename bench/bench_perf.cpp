@@ -28,6 +28,7 @@
 #include "qbss/crad.hpp"
 #include "qbss/crcd.hpp"
 #include "qbss/oaq.hpp"
+#include "route/router.hpp"
 #include "scheduling/avr.hpp"
 #include "scheduling/bkp.hpp"
 #include "scheduling/density_scan.hpp"
@@ -327,6 +328,56 @@ void BM_SvcThroughput(benchmark::State& state) {
                   .c_str());
 }
 BENCHMARK(BM_SvcThroughput)->Arg(1)->Arg(64)->UseRealTime();
+
+void BM_RouteHop(benchmark::State& state) {
+  // The router hop: one in-process backend, one router in front of it
+  // (health probes and hot-key replication off), both over UDS, and one
+  // warmed bkpq n=16 key. range(0) = 0 times the direct round trip to
+  // the backend, 1 the routed one; their difference is the hop. Socket
+  // timings are noisy, so this stays out of the perf-gate filter.
+  const bool routed = state.range(0) != 0;
+  const std::string stem = "/tmp/qbss-bench-hop-" + std::to_string(::getpid());
+  svc::ServerConfig config;
+  config.socket_path = stem + "-b.sock";
+  config.workers = 2;
+  config.manifest_path.clear();
+  svc::Server server(config);
+  route::RouterConfig router_config;
+  router_config.socket_path = stem + "-r.sock";
+  router_config.topology.backends.push_back(route::BackendSpec{
+      "b", svc::Endpoint{config.socket_path, "", 0}, 1.0});
+  router_config.health_interval_ms = 0.0;
+  router_config.stats_interval_ms = 0.0;
+  router_config.hot_threshold = 0;
+  route::Router router(std::move(router_config));
+  std::string error;
+  svc::Client client;
+  svc::Request request;
+  request.algo = "bkpq";
+  request.instance = gen::random_online(16, 10.0, 0.5, 4.0, 0);
+  svc::Client::Reply reply;
+  if (!server.start(&error) || !router.start(&error) ||
+      !client.connect_unix(routed ? stem + "-r.sock" : config.socket_path,
+                           &error) ||
+      !client.call(request, &reply, &error)) {  // warms the key
+    state.SkipWithError(error.c_str());
+  } else {
+    for (auto _ : state) {
+      if (!client.call(request, &reply, &error)) {
+        state.SkipWithError(error.c_str());
+        break;
+      }
+      benchmark::DoNotOptimize(reply);
+    }
+    state.SetItemsProcessed(state.iterations());
+  }
+  client.close();
+  router.shutdown();
+  router.wait();
+  server.shutdown();
+  server.wait();
+}
+BENCHMARK(BM_RouteHop)->Arg(0)->Arg(1)->UseRealTime();
 
 // Splices the run manifest into the google-benchmark JSON at `path`:
 // the file's closing '}' is replaced by ,"manifest":{...}}. Leaves the

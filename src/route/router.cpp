@@ -404,18 +404,18 @@ void Router::handle_request(const std::shared_ptr<Connection>& conn,
             build_stats_payload(request.stats_format), elapsed_us(admitted));
     return;
   }
-  proxy_solve(conn, frame, request);
+  proxy_solve(conn, frame, request, payload);
 }
 
 void Router::proxy_solve(const std::shared_ptr<Connection>& conn,
                          const svc::FrameHeader& frame,
-                         svc::Request& request) {
+                         const svc::Request& request,
+                         std::string_view payload) {
   const Clock::time_point admitted = Clock::now();
-  const std::string key = svc::cache_key(request);
-  const std::uint64_t hash = HashRing::key_hash(key);
+  const std::uint64_t hash = HashRing::key_hash(svc::cache_key(request));
   const std::size_t primary = ring_.primary(hash);
   bool hot = false;
-  const bool crossed = note_hit(key, &hot);
+  const bool crossed = note_hit(hash, &hot);
 
   // Candidate order: the ring owner, then every other node in ring
   // order — the tail is the failover ladder. For hot keys the first
@@ -444,7 +444,7 @@ void Router::proxy_solve(const std::shared_ptr<Connection>& conn,
     Backend& backend = *backends_[index];
     if (!backend.breaker.allow(now_ns())) continue;
     svc::Client::Reply reply;
-    const bool ok = call_backend(index, request, frame.trace_id, &reply);
+    const bool ok = call_backend(index, payload, frame.trace_id, &reply);
     record_backend_result(index, ok);
     if (!ok) continue;
     if (index != order[0]) {
@@ -461,7 +461,7 @@ void Router::proxy_solve(const std::shared_ptr<Connection>& conn,
     if (reply.cache_hit) QBSS_COUNT("route.hit");
     if (crossed && config_.replicas > 0 && !succ.empty()) {
       Replication task;
-      task.request = request;
+      task.payload = payload;
       const std::size_t targets = std::min(config_.replicas, succ.size());
       task.targets.assign(succ.begin(),
                           succ.begin() + static_cast<std::ptrdiff_t>(targets));
@@ -484,7 +484,7 @@ void Router::proxy_solve(const std::shared_ptr<Connection>& conn,
           "reason: no_backend\n", elapsed_us(admitted));
 }
 
-bool Router::call_backend(std::size_t index, const svc::Request& request,
+bool Router::call_backend(std::size_t index, std::string_view payload,
                           std::uint64_t trace_id, svc::Client::Reply* reply) {
   Backend& backend = *backends_[index];
   std::unique_ptr<svc::RetryingClient> client;
@@ -513,7 +513,7 @@ bool Router::call_backend(std::size_t index, const svc::Request& request,
   client->pin_trace_id(trace_id);
   const Clock::time_point start = Clock::now();
   std::string error;
-  const bool ok = client->call(request, reply, &error);
+  const bool ok = client->call_raw(payload, reply, &error);
   QBSS_HIST("route.backend_us", elapsed_us(start));
   client->pin_trace_id(0);
   {
@@ -545,22 +545,22 @@ void Router::record_backend_result(std::size_t index, bool ok) {
   }
 }
 
-bool Router::note_hit(const std::string& key, bool* hot) {
+bool Router::note_hit(std::uint64_t key_hash, bool* hot) {
   *hot = false;
   if (config_.hot_threshold == 0) return false;
   const std::lock_guard<std::mutex> lock(hot_mu_);
-  if (hot_.count(key) != 0) {
+  if (hot_.count(key_hash) != 0) {
     *hot = true;
     return false;
   }
-  if (key_hits_.size() >= kMaxTrackedKeys && key_hits_.count(key) == 0) {
+  if (key_hits_.size() >= kMaxTrackedKeys && key_hits_.count(key_hash) == 0) {
     key_hits_.clear();  // bounded memory; counts restart, verdicts keep
   }
-  const std::uint64_t hits = ++key_hits_[key];
+  const std::uint64_t hits = ++key_hits_[key_hash];
   if (hits < config_.hot_threshold) return false;
-  key_hits_.erase(key);
+  key_hits_.erase(key_hash);
   if (hot_.size() >= kMaxTrackedKeys) hot_.clear();
-  hot_.emplace(key, true);
+  hot_.insert(key_hash);
   hot_keys_.fetch_add(1, std::memory_order_relaxed);
   QBSS_COUNT("route.hot_keys");
   *hot = true;
@@ -596,7 +596,7 @@ void Router::replication_loop() {
       Backend& backend = *backends_[target];
       if (!backend.breaker.allow(now_ns())) continue;
       svc::Client::Reply reply;
-      const bool ok = call_backend(target, task.request, task.trace_id,
+      const bool ok = call_backend(target, task.payload, task.trace_id,
                                    &reply);
       record_backend_result(target, ok);
       if (!ok || reply.status != svc::Status::kOk) continue;
@@ -613,6 +613,9 @@ void Router::replication_loop() {
 void Router::health_loop() {
   const auto interval =
       std::chrono::duration<double, std::milli>(config_.health_interval_ms);
+  svc::Request ping_request;
+  ping_request.verb = svc::Verb::kPing;
+  const std::string ping = svc::serialize_request(ping_request);
   while (!stopping_.load(std::memory_order_acquire)) {
     {
       std::unique_lock<std::mutex> lock(health_mu_);
@@ -621,8 +624,6 @@ void Router::health_loop() {
       });
     }
     if (stopping_.load(std::memory_order_acquire)) break;
-    svc::Request ping;
-    ping.verb = svc::Verb::kPing;
     for (std::size_t i = 0; i < backends_.size(); ++i) {
       if (stopping_.load(std::memory_order_acquire)) break;
       QBSS_COUNT("route.health.probes");

@@ -5,10 +5,10 @@
 //   accept loop ──> one reader thread per client connection
 //                     │ read a QSS2 frame, answer ping/stats/shutdown
 //                     │ locally; for solves, hash the canonical cache
-//                     │ key onto the ring and proxy the request to the
-//                     │ owning backend (breaker-gated, pooled
-//                     │ RetryingClient), echoing the client's request
-//                     │ and trace ids end to end
+//                     │ key onto the ring and forward the client's
+//                     │ payload bytes verbatim to the owning backend
+//                     │ (breaker-gated, pooled RetryingClient), echoing
+//                     │ the client's request and trace ids end to end
 //   health loop ──> periodic pings per backend feed the same breakers
 //   replicator  ──> keys whose hit count crosses the hot threshold are
 //                   pushed to R ring successors so a node death doesn't
@@ -31,6 +31,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -134,7 +135,7 @@ class Router {
 
   /// One queued hot-key replication push.
   struct Replication {
-    svc::Request request;
+    std::string payload;  ///< the client's request bytes, verbatim
     std::vector<std::size_t> targets;  ///< backend indices
     std::uint64_t key_hash = 0;
     std::uint64_t trace_id = 0;
@@ -150,18 +151,21 @@ class Router {
                       const std::string& payload);
   /// Routes one solve: breaker-gated candidate walk (owner first, then
   /// ring successors), proxy, relay. Sheds when every candidate is down.
+  /// `request` (parsed from `payload`) only places the key on the ring;
+  /// the backends receive `payload` itself.
   void proxy_solve(const std::shared_ptr<Connection>& conn,
-                   const svc::FrameHeader& frame, svc::Request& request);
-  /// One proxied call against backend `index` through its pool. False
-  /// on transport exhaustion (the breaker hears about either outcome).
-  [[nodiscard]] bool call_backend(std::size_t index,
-                                  const svc::Request& request,
+                   const svc::FrameHeader& frame, const svc::Request& request,
+                   std::string_view payload);
+  /// One proxied call of `payload` against backend `index` through its
+  /// pool. False on transport exhaustion (the breaker hears about either
+  /// outcome).
+  [[nodiscard]] bool call_backend(std::size_t index, std::string_view payload,
                                   std::uint64_t trace_id,
                                   svc::Client::Reply* reply);
-  /// Hit-count bookkeeping; true when `key` just crossed the hot
-  /// threshold (the caller then enqueues replication). `*hot` reports
-  /// whether the key is already hot (replica set serves it).
-  [[nodiscard]] bool note_hit(const std::string& key, bool* hot);
+  /// Hit-count bookkeeping by ring hash; true when the key just crossed
+  /// the hot threshold (the caller then enqueues replication). `*hot`
+  /// reports whether the key is already hot (replica set serves it).
+  [[nodiscard]] bool note_hit(std::uint64_t key_hash, bool* hot);
   void enqueue_replication(Replication task);
   [[nodiscard]] std::string build_stats_payload(const std::string& format);
   void respond(const std::shared_ptr<Connection>& conn,
@@ -196,11 +200,13 @@ class Router {
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> readers_;  ///< appended only by the accept loop
 
-  /// Hot-key table: hit counts plus the already-hot set. Bounded; when
-  /// the count table overflows it is reset (hot verdicts persist).
+  /// Hot-key table keyed by HashRing::key_hash: hit counts plus the
+  /// already-hot set. Bounded; when the count table overflows it is
+  /// reset (hot verdicts persist). Keys with equal hashes share an owner
+  /// and a verdict.
   std::mutex hot_mu_;
-  std::unordered_map<std::string, std::uint64_t> key_hits_;
-  std::unordered_map<std::string, bool> hot_;
+  std::unordered_map<std::uint64_t, std::uint64_t> key_hits_;
+  std::unordered_set<std::uint64_t> hot_;
 
   std::mutex replication_mu_;
   std::condition_variable replication_cv_;

@@ -130,6 +130,11 @@ std::uint64_t Client::make_trace_id() {
 }
 
 bool Client::call(const Request& request, Reply* reply, std::string* error) {
+  return call_raw(serialize_request(request), reply, error);
+}
+
+bool Client::call_raw(std::string_view request_payload, Reply* reply,
+                      std::string* error) {
   if (fd_ < 0) {
     if (error) *error = "not connected";
     return false;
@@ -138,7 +143,7 @@ bool Client::call(const Request& request, Reply* reply, std::string* error) {
   header.request_id = next_id_++;
   header.trace_id = make_trace_id();
   last_trace_id_ = header.trace_id;
-  if (!write_frame(fd_, header, serialize_request(request), error)) {
+  if (!write_frame(fd_, header, request_payload, error)) {
     return false;
   }
   // One outstanding request per connection: the next response frame with

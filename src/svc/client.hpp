@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "svc/endpoint.hpp"
 #include "svc/protocol.hpp"
@@ -54,6 +55,12 @@ class Client {
   /// record a sampled span chain under it.
   [[nodiscard]] bool call(const Request& request, Reply* reply,
                           std::string* error);
+
+  /// Like call, but sends `payload` as the request body verbatim: the
+  /// router forwards its client's bytes this way instead of parsing and
+  /// re-serializing them.
+  [[nodiscard]] bool call_raw(std::string_view payload, Reply* reply,
+                              std::string* error);
 
   /// Round-trips a ping frame.
   [[nodiscard]] bool ping(std::string* error);

@@ -43,6 +43,11 @@ double RetryingClient::next_backoff_ms() {
 
 bool RetryingClient::call(const Request& request, Client::Reply* reply,
                           std::string* error) {
+  return call_raw(serialize_request(request), reply, error);
+}
+
+bool RetryingClient::call_raw(std::string_view payload, Client::Reply* reply,
+                              std::string* error) {
   const Clock::time_point start = Clock::now();
   prev_backoff_ms_ = policy_.base_ms;  // each call restarts the ladder
   // `last_error` always holds the most recent failure: the exhaustion
@@ -82,7 +87,7 @@ bool RetryingClient::call(const Request& request, Client::Reply* reply,
       was_connected_ = true;
     }
     if (pinned_trace_id_ != 0) client_.set_next_trace_id(pinned_trace_id_);
-    if (client_.call(request, reply, &last_error)) return true;
+    if (client_.call_raw(payload, reply, &last_error)) return true;
     // Transport failure — including a peer that died mid-payload after
     // a good header ("connection closed mid-payload"): the stream may
     // hold half a frame, so the only safe continuation is a fresh

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/xoshiro.hpp"
 #include "svc/client.hpp"
@@ -41,9 +42,15 @@ class RetryingClient {
 
   /// Like Client::call, but transport failures reconnect and retry with
   /// decorrelated-jitter backoff until success, `max_retries` extra
-  /// attempts are spent, or `call_deadline_ms` elapses.
+  /// attempts are spent, or `call_deadline_ms` elapses. The request is
+  /// serialized once; every attempt sends the same bytes.
   [[nodiscard]] bool call(const Request& request, Client::Reply* reply,
                           std::string* error);
+
+  /// The retry loop around Client::call_raw: every attempt sends
+  /// `payload` verbatim.
+  [[nodiscard]] bool call_raw(std::string_view payload, Client::Reply* reply,
+                              std::string* error);
 
   /// Round-trips a ping frame through the retry loop.
   [[nodiscard]] bool ping(std::string* error);

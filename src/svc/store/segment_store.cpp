@@ -672,9 +672,19 @@ bool SegmentStore::contains(const std::string& key) const {
 }
 
 void SegmentStore::sync() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!open_ || segments_.empty()) return;
-  ::fsync(segments_.back().fd);
+  // fsync a duplicate of the active segment's fd outside the lock, so a
+  // concurrent find() or append() never waits on the disk flush. The
+  // duplicate keeps the file open even if a seal or close() runs
+  // meanwhile; those fsync the segment themselves.
+  int fd = -1;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!open_ || segments_.empty()) return;
+    fd = ::fcntl(segments_.back().fd, F_DUPFD_CLOEXEC, 0);
+  }
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
 }
 
 void SegmentStore::release_locked() {

@@ -122,7 +122,9 @@ class SegmentStore {
   [[nodiscard]] bool contains(const std::string& key) const;
 
   /// fsyncs the active segment (the persister calls this per its sync
-  /// mode; sealing and close() always sync).
+  /// mode; sealing and close() always sync). The flush runs on a
+  /// duplicate descriptor outside the store lock, so reads and appends
+  /// do not wait on it.
   void sync();
 
   /// Syncs, rewrites the manifest and releases every descriptor/map.

@@ -5,20 +5,27 @@
 // covering byte-identity with a direct backend call, trace-id echo,
 // per-backend stats, hot-key replication, breaker failover when a
 // backend dies, the no-backend shed path, and the disk-hit flag relayed
-// from a restarted disk-tier backend.
+// from a restarted disk-tier backend. Recording stand-in backends check
+// that proxied and replicated solves carry the client's bytes verbatim.
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/router.hpp"
 #include "route/topology.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -590,6 +597,195 @@ TEST(Router, RelaysTheDiskHitFlag) {
   router.wait();
   server.shutdown();
   server.wait();
+}
+
+/// A stand-in backend built on the frame codec alone: it records the
+/// payload of every frame it receives and answers solves with the
+/// canonical solve_request payload, pings with "pong".
+class RecordingBackend {
+ public:
+  explicit RecordingBackend(std::string path) : path_(std::move(path)) {
+    std::remove(path_.c_str());
+    listener_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    if (listener_ < 0 ||
+        ::bind(listener_, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof addr) != 0 ||
+        ::listen(listener_, 8) != 0) {
+      ADD_FAILURE() << "recording backend cannot listen on " << path_;
+      return;
+    }
+    accept_thread_ = std::thread([this] { accept_loop(); });
+  }
+
+  ~RecordingBackend() {
+    stop_.store(true);
+    if (accept_thread_.joinable()) accept_thread_.join();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      for (const int fd : conns_) ::shutdown(fd, SHUT_RDWR);
+    }
+    for (std::thread& t : conn_threads_) t.join();
+    for (const int fd : conns_) ::close(fd);
+    if (listener_ >= 0) ::close(listener_);
+    std::remove(path_.c_str());
+  }
+
+  [[nodiscard]] std::vector<std::string> payloads() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return payloads_;
+  }
+
+  [[nodiscard]] svc::Endpoint endpoint() const {
+    return svc::Endpoint{path_, "", 0};
+  }
+
+ private:
+  void accept_loop() {
+    while (!stop_.load()) {
+      pollfd pfd{listener_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept4(listener_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd < 0) continue;
+      const std::lock_guard<std::mutex> lock(mu_);
+      conns_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { serve(fd); });
+    }
+  }
+
+  void serve(int fd) {
+    svc::FrameHeader header;
+    std::string payload;
+    std::string error;
+    while (svc::read_frame(fd, &header, &payload, &error) ==
+           svc::ReadResult::kFrame) {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        payloads_.push_back(payload);
+      }
+      svc::Request request;
+      std::string reply = "pong\n";
+      svc::FrameHeader response;
+      response.status = svc::Status::kOk;
+      if (!svc::parse_request(payload, &request, &error) ||
+          (request.verb == svc::Verb::kSolve &&
+           !svc::solve_request(request, &reply, &error))) {
+        response.status = svc::Status::kError;
+        reply = "message: " + error + "\n";
+      }
+      response.request_id = header.request_id;
+      response.trace_id = header.trace_id;
+      if (!svc::write_frame(fd, response, reply, &error)) return;
+    }
+  }
+
+  std::string path_;
+  int listener_ = -1;
+  std::atomic<bool> stop_{false};
+  mutable std::mutex mu_;
+  std::vector<int> conns_;
+  std::vector<std::thread> conn_threads_;
+  std::vector<std::string> payloads_;
+  std::thread accept_thread_;
+};
+
+/// A valid solve payload in a form serialize_request never writes:
+/// fields reordered, `alpha: 3.0` instead of `alpha: 3`, and an explicit
+/// `deadline_ms: 0` line.
+std::string non_canonical_payload(const svc::Request& request) {
+  const std::string canonical = svc::serialize_request(request);
+  const std::size_t instance = canonical.find("instance:\n");
+  EXPECT_NE(instance, std::string::npos);
+  return "qbss-svc/1 solve\n"
+         "schedule: 0\n"
+         "deadline_ms: 0\n"
+         "alpha: 3.0\n"
+         "machines: 4\n"
+         "algo: " +
+         request.algo + "\n" + canonical.substr(instance);
+}
+
+RouterConfig recording_config(const std::string& router_path) {
+  RouterConfig config = fast_config();
+  config.socket_path = router_path;
+  config.health_interval_ms = 0.0;  // only the client's frames arrive
+  return config;
+}
+
+TEST(Router, ForwardsClientBytesVerbatim) {
+  RecordingBackend backend(socket_path("rec"));
+  RouterConfig config = recording_config(socket_path("rec-r"));
+  config.hot_threshold = 0;
+  config.topology.backends.push_back(
+      BackendSpec{"rec", backend.endpoint(), 1.0});
+  Router router(std::move(config));
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  const svc::Request request = solve_request(61);
+  const std::string bytes = non_canonical_payload(request);
+  ASSERT_NE(bytes, svc::serialize_request(request));
+  svc::Request parsed;
+  ASSERT_TRUE(svc::parse_request(bytes, &parsed, &error)) << error;
+  ASSERT_EQ(svc::cache_key(parsed), svc::cache_key(request));
+
+  svc::Client client;
+  ASSERT_TRUE(client.connect_unix(socket_path("rec-r"), &error)) << error;
+  svc::Client::Reply reply;
+  ASSERT_TRUE(client.call_raw(bytes, &reply, &error)) << error;
+  ASSERT_EQ(reply.status, svc::Status::kOk) << reply.payload;
+  std::string direct;
+  ASSERT_TRUE(svc::solve_request(request, &direct, &error)) << error;
+  EXPECT_EQ(reply.payload, direct);
+
+  const std::vector<std::string> seen = backend.payloads();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], bytes);
+  router.shutdown();
+  router.wait();
+}
+
+TEST(Router, ReplicatesTheClientBytesToTheSuccessor) {
+  RecordingBackend first(socket_path("rec1"));
+  RecordingBackend second(socket_path("rec2"));
+  RouterConfig config = recording_config(socket_path("rec-r2"));
+  config.hot_threshold = 1;  // the first request turns the key hot
+  config.replicas = 1;
+  config.topology.backends.push_back(
+      BackendSpec{"rec1", first.endpoint(), 1.0});
+  config.topology.backends.push_back(
+      BackendSpec{"rec2", second.endpoint(), 1.0});
+  Router router(std::move(config));
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  const std::string bytes = non_canonical_payload(solve_request(62));
+  svc::Client client;
+  ASSERT_TRUE(client.connect_unix(socket_path("rec-r2"), &error)) << error;
+  svc::Client::Reply reply;
+  ASSERT_TRUE(client.call_raw(bytes, &reply, &error)) << error;
+  ASSERT_EQ(reply.status, svc::Status::kOk) << reply.payload;
+  EXPECT_EQ(router.hot_keys(), 1u);
+
+  // The owner answered the client; the replication push to the other
+  // node is asynchronous.
+  std::vector<std::string> seen;
+  for (int spin = 0; spin < 100 && seen.size() < 2; ++spin) {
+    seen = first.payloads();
+    const std::vector<std::string> more = second.payloads();
+    seen.insert(seen.end(), more.begin(), more.end());
+    if (seen.size() < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  ASSERT_EQ(seen.size(), 2u) << "the successor never received the key";
+  EXPECT_EQ(first.payloads().size(), 1u);
+  EXPECT_EQ(second.payloads().size(), 1u);
+  for (const std::string& payload : seen) EXPECT_EQ(payload, bytes);
+  router.shutdown();
+  router.wait();
 }
 
 }  // namespace

@@ -942,6 +942,9 @@ TEST(Server, RetryingClientRetriesMidPayloadDisconnect) {
   // with a good header and then tears the connection mid-payload; the
   // second answers in full. The retrying client must treat the torn
   // read as a transport failure (not a reply) and transparently retry.
+  // The server records each attempt's request bytes: RetryingClient
+  // serializes once per call, so every attempt carries the same bytes,
+  // and the retried reply is the direct solve's payload.
   const std::string path = socket_path("tornpayload");
   std::remove(path.c_str());
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -954,8 +957,8 @@ TEST(Server, RetryingClientRetriesMidPayloadDisconnect) {
             0);
   ASSERT_EQ(::listen(listener, 2), 0);
 
-  const std::string full_payload(64, 'p');
-  std::thread flaky([listener, &full_payload] {
+  std::vector<std::string> attempts;
+  std::thread flaky([listener, &attempts] {
     for (int attempt = 0; attempt < 2; ++attempt) {
       const int fd = ::accept(listener, nullptr, nullptr);
       ASSERT_GE(fd, 0);
@@ -965,6 +968,11 @@ TEST(Server, RetryingClientRetriesMidPayloadDisconnect) {
       ASSERT_EQ(read_frame(fd, &request, &request_payload, &error),
                 ReadResult::kFrame)
           << error;
+      attempts.push_back(request_payload);
+      Request parsed;
+      ASSERT_TRUE(parse_request(request_payload, &parsed, &error)) << error;
+      std::string full_payload;
+      ASSERT_TRUE(solve_request(parsed, &full_payload, &error)) << error;
       FrameHeader response;
       response.status = Status::kOk;
       response.request_id = request.request_id;
@@ -1000,14 +1008,19 @@ TEST(Server, RetryingClientRetriesMidPayloadDisconnect) {
   Client::Reply reply;
   std::string error;
   ASSERT_TRUE(client.call(request, &reply, &error)) << error;
-  EXPECT_EQ(reply.status, Status::kOk);
-  EXPECT_EQ(reply.payload, full_payload);
   EXPECT_EQ(client.retries(), 1u);
   EXPECT_EQ(client.reconnects(), 1u);
 
   flaky.join();
   ::close(listener);
   std::remove(path.c_str());
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_EQ(attempts[0], serialize_request(request));
+  EXPECT_EQ(attempts[1], attempts[0]);
+  std::string direct;
+  ASSERT_TRUE(solve_request(request, &direct, &error)) << error;
+  EXPECT_EQ(reply.status, Status::kOk);
+  EXPECT_EQ(reply.payload, direct);
 }
 
 TEST(Server, DegradedWindowServesCacheAndShedsMisses) {
