@@ -1,8 +1,11 @@
 #include "faults/faults.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 
+#include "obs/log.hpp"
 #include "obs/registry.hpp"
 
 namespace qbss::faults {
@@ -249,6 +252,21 @@ bool configure_from_env(std::string* error) {
   if (!parse_plan(env, &plan, error)) return false;
   injector().configure(std::move(plan));
   return true;
+}
+
+void log_fault_fired(const Action& action, const char* site,
+                     std::uint64_t trace_id, std::uint64_t conn_id) {
+  using A = obs::LogArg;
+  for (std::uint32_t kind = 0; kind < FaultSpec::kKindCount; ++kind) {
+    if ((action.fired_kinds & (1u << kind)) == 0) continue;
+    QBSS_LOG_WARN("faults.fired", trace_id, A("site", site),
+                  A("kind", kind_name(static_cast<FaultSpec::Kind>(kind))),
+                  A("conn", conn_id), A("delay_ms", action.delay_ms));
+  }
+}
+
+void sleep_ms(double ms) {
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 }  // namespace qbss::faults

@@ -144,6 +144,15 @@ Injector& injector();
 /// off); a malformed plan is false + *error.
 [[nodiscard]] bool configure_from_env(std::string* error);
 
+/// One `faults.fired` warn event per clause kind that fired on this
+/// opportunity, carrying the trace id of the request it hit (0 = none)
+/// so the flight recording correlates the fault to its req events.
+void log_fault_fired(const Action& action, const char* site,
+                     std::uint64_t trace_id = 0, std::uint64_t conn_id = 0);
+
+/// Blocks the calling thread for `ms` milliseconds (fault delays).
+void sleep_ms(double ms);
+
 }  // namespace qbss::faults
 
 #ifndef QBSS_FAULTS_OFF

@@ -17,6 +17,11 @@ namespace qbss::obs {
 /// Monotonic clock, nanoseconds. Base is unspecified; use differences.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
+/// Microseconds since `since_ns`, an earlier now_ns() reading.
+[[nodiscard]] inline double elapsed_us(std::uint64_t since_ns) noexcept {
+  return static_cast<double>(now_ns() - since_ns) / 1e3;
+}
+
 /// now_ns() captured during static initialization — the zero point for
 /// trace timestamps and manifest wall time.
 [[nodiscard]] std::uint64_t process_start_ns() noexcept;

@@ -2,10 +2,13 @@
 //
 // Architecture (docs/ROUTING.md has the full story):
 //
-//   accept loop ──> one reader thread per client connection
-//                     │ read a QSS2 frame, answer ping/stats/shutdown
-//                     │ locally; for solves, hash the canonical cache
-//                     │ key onto the ring and forward the client's
+//   svc::Frontend (svc/frontend.hpp, shared with svc::Server)
+//     listeners, accept loop, one reader thread per client connection,
+//     request parse, ping/stats/shutdown answered locally, reply writes,
+//     stats ring, flight triggers, manifest epilogue
+//                     │ proxy_solve, on the reader thread: hash the
+//                     │ canonical cache key onto the ring and forward
+//                     │ the client's
 //                     │ payload bytes verbatim to the owning backend
 //                     │ (breaker-gated, pooled RetryingClient), echoing
 //                     │ the client's request and trace ids end to end
@@ -35,19 +38,19 @@
 #include <utility>
 #include <vector>
 
-#include "obs/snapshot.hpp"
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/topology.hpp"
+#include "svc/frontend.hpp"
 #include "svc/protocol.hpp"
 #include "svc/retry.hpp"
 
 namespace qbss::route {
 
-/// Everything a Router needs to know at start().
-struct RouterConfig {
-  std::string socket_path;  ///< client-facing Unix socket ("" = none)
-  int tcp_port = 0;         ///< client-facing loopback TCP (0 = off)
+/// Everything a Router needs to know at start(): the shared client-facing
+/// settings (endpoints, timeouts, stats ring, manifest, flight path) plus
+/// the fleet and the routing policy.
+struct RouterConfig : svc::FrontendConfig {
   Topology topology;        ///< the backend fleet (>= 1 node)
   /// Ring successors hot keys are replicated to (0 = replication off).
   std::size_t replicas = 1;
@@ -60,16 +63,6 @@ struct RouterConfig {
   double backend_timeout_ms = 5000.0; ///< per-attempt socket timeout
   int backend_retries = 2;        ///< extra attempts per proxied call
   std::size_t pool_capacity = 8;  ///< idle connections kept per backend
-  double read_timeout_ms = 30000.0;   ///< client-facing recv timeout
-  double write_timeout_ms = 10000.0;  ///< client-facing send timeout
-  double stats_interval_ms = 1000.0;  ///< snapshot-ring cadence (0 = off)
-  std::size_t stats_ring = 8;
-  std::string manifest_path;  ///< manifest epilogue at shutdown ("" = none)
-  std::string flight_path;    ///< flight-recorder dump destination ("")
-  /// Extra manifest key/values (the CLI records its flags here).
-  std::vector<std::pair<std::string, std::string>> manifest_extra;
-  /// Optional externally-owned stop flag (signal handlers set it).
-  const std::atomic<bool>* external_stop = nullptr;
 };
 
 /// The routing tier. Same lifecycle contract as svc::Server: construct,
@@ -88,7 +81,7 @@ class Router {
 
   /// Responses relayed or answered so far (any status).
   [[nodiscard]] std::uint64_t responses() const noexcept {
-    return responses_.load(std::memory_order_relaxed);
+    return frontend_.responses();
   }
 
   /// Point-in-time view of one backend (stats verb and tests).
@@ -121,18 +114,6 @@ class Router {
         : spec(std::move(spec_in)), breaker(breaker_in) {}
   };
 
-  /// One client connection (same ownership story as svc::Server).
-  struct Connection {
-    Connection(int fd_in, std::uint64_t id_in) : fd(fd_in), id(id_in) {
-      read_buf.reserve(4096);
-    }
-    ~Connection();
-    int fd;
-    std::uint64_t id;
-    std::mutex write_mu;
-    std::string read_buf;
-  };
-
   /// One queued hot-key replication push.
   struct Replication {
     std::string payload;  ///< the client's request bytes, verbatim
@@ -141,21 +122,16 @@ class Router {
     std::uint64_t trace_id = 0;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void health_loop();
   void replication_loop();
-  void stats_loop();
-  void handle_request(const std::shared_ptr<Connection>& conn,
-                      const svc::FrameHeader& frame,
-                      const std::string& payload);
   /// Routes one solve: breaker-gated candidate walk (owner first, then
   /// ring successors), proxy, relay. Sheds when every candidate is down.
   /// `request` (parsed from `payload`) only places the key on the ring;
-  /// the backends receive `payload` itself.
-  void proxy_solve(const std::shared_ptr<Connection>& conn,
-                   const svc::FrameHeader& frame, const svc::Request& request,
-                   std::string_view payload);
+  /// the backends receive `payload` itself. The front end's handler.
+  void proxy_solve(const std::shared_ptr<svc::Connection>& conn,
+                   const svc::FrameHeader& frame, svc::Request& request,
+                   const std::string& payload,
+                   std::uint64_t admitted);
   /// One proxied call of `payload` against backend `index` through its
   /// pool. False on transport exhaustion (the breaker hears about either
   /// outcome).
@@ -167,38 +143,22 @@ class Router {
   /// reports whether the key is already hot (replica set serves it).
   [[nodiscard]] bool note_hit(std::uint64_t key_hash, bool* hot);
   void enqueue_replication(Replication task);
-  [[nodiscard]] std::string build_stats_payload(const std::string& format);
-  void respond(const std::shared_ptr<Connection>& conn,
-               std::uint64_t request_id, std::uint64_t trace_id,
-               svc::Status status, std::uint32_t flags,
-               std::string_view payload, double latency_us);
+  /// The router's stats and manifest keys: role, fleet size, hot keys
+  /// and one row per backend.
+  [[nodiscard]] svc::Frontend::Extras stats_extra() const;
   void record_backend_result(std::size_t index, bool ok);
-  void write_manifest();
-  void note_flight_trigger();
-  void dump_flight_recorder();
   void log_route_start();
 
   RouterConfig config_;
   HashRing ring_;
   std::vector<std::unique_ptr<Backend>> backends_;  ///< ring-index order
+  svc::Frontend frontend_;
 
-  std::vector<int> listen_fds_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> next_conn_id_{0};
   std::atomic<std::uint64_t> hot_keys_{0};
   std::atomic<std::uint64_t> hot_rotation_{0};
-  std::atomic<bool> flight_pending_{false};
-  std::atomic<std::uint64_t> last_flight_dump_ns_{0};
 
-  std::thread accept_thread_;
   std::thread health_thread_;
   std::thread replication_thread_;
-  std::thread stats_thread_;
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;  ///< appended only by the accept loop
 
   /// Hot-key table keyed by HashRing::key_hash: hit counts plus the
   /// already-hot set. Bounded; when the count table overflows it is
@@ -211,11 +171,6 @@ class Router {
   std::mutex replication_mu_;
   std::condition_variable replication_cv_;
   std::deque<Replication> replication_queue_;
-
-  std::mutex ring_mu_;  ///< guards the snapshot ring below
-  std::deque<obs::Snapshot> snapshots_;
-  std::mutex stats_mu_;
-  std::condition_variable stats_cv_;
 
   std::mutex health_mu_;  ///< pairs with health_cv_ for interruptible sleep
   std::condition_variable health_cv_;

@@ -8,11 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "faults/faults.hpp"
@@ -153,22 +151,6 @@ void fsync_dir(const std::string& dir) {
   if (fd < 0) return;
   ::fsync(fd);
   ::close(fd);
-}
-
-/// Mirrors the server's per-clause `faults.fired` event for store sites.
-void log_store_fault(const faults::Action& action, const char* site) {
-  for (std::uint32_t kind = 0; kind < faults::FaultSpec::kKindCount; ++kind) {
-    if ((action.fired_kinds & (1u << kind)) == 0) continue;
-    QBSS_LOG_WARN(
-        "faults.fired", 0, A("site", site),
-        A("kind",
-          faults::kind_name(static_cast<faults::FaultSpec::Kind>(kind))),
-        A("conn", 0), A("delay_ms", action.delay_ms));
-  }
-}
-
-void sleep_ms(double ms) {
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 }  // namespace
@@ -534,8 +516,8 @@ bool SegmentStore::append(const std::string& key, const std::string& payload,
   }
 
   const faults::Action fault = QBSS_FAULT(faults::Site::kStoreWrite);
-  log_store_fault(fault, "store_write");
-  if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
+  faults::log_fault_fired(fault, "store_write");
+  if (fault.delay_ms > 0.0) faults::sleep_ms(fault.delay_ms);
   if (fault.drop_connection) {
     if (error) *error = "injected store write error";
     return false;
@@ -647,8 +629,8 @@ StorePayloadPtr SegmentStore::find(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return nullptr;
   const faults::Action fault = QBSS_FAULT(faults::Site::kStoreRead);
-  log_store_fault(fault, "store_read");
-  if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
+  faults::log_fault_fired(fault, "store_read");
+  if (fault.delay_ms > 0.0) faults::sleep_ms(fault.delay_ms);
   if (fault.drop_connection) return nullptr;  // injected short read = miss
   const auto it = index_.find(key);
   if (it == index_.end()) return nullptr;

@@ -642,6 +642,23 @@ TEST(TieredCache, WarmRestartServesByteIdenticalDiskHits) {
   std::remove(socket.c_str());
 }
 
+TEST(TieredCache, StartWithoutEndpointTouchesNoFiles) {
+  // The endpoint check comes first: a misconfigured server fails before
+  // opening (and so creating) its cache directory.
+  const std::string dir =
+      "/tmp/qbss-store-test-" + std::to_string(::getpid()) + "-noendpoint";
+  ::rmdir(dir.c_str());
+  ServerConfig config;
+  config.cache_dir = dir;
+  Server server(std::move(config));
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find("no endpoint"), std::string::npos) << error;
+  struct stat st {};
+  EXPECT_NE(::stat(dir.c_str(), &st), 0) << dir << " was created";
+  ::rmdir(dir.c_str());
+}
+
 #ifndef QBSS_FAULTS_OFF
 TEST(StoreFaults, AtStoreClausesInjectOnStoreSitesOnly) {
   struct InjectorReset {

@@ -5,7 +5,9 @@
 // byte-identity, queue-full and deadline shedding, coalescing, and the
 // manifest epilogue written at shutdown). Robustness coverage: typed
 // error replies for malformed/corrupted headers (plus a fuzz sweep over
-// every header byte), idle-connection read timeouts, the retrying
+// every header byte), idle-connection read timeouts, the client shutdown
+// frame and reader reaping — the front-end contract, run against both the
+// server and the router, which share svc::Frontend — the retrying
 // client surviving a full server restart with byte-identical cached
 // payloads, the overload degradation window, and an in-process chaos
 // soak against an active fault plan.
@@ -39,6 +41,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "qbss/bkpq.hpp"
+#include "route/router.hpp"
 #include "scheduling/schedule.hpp"
 
 namespace qbss::svc {
@@ -608,92 +611,320 @@ ReadResult roundtrip_raw(const std::string& path,
   return rc;
 }
 
-TEST(Server, BadMagicGetsTypedErrorReplyThenClose) {
-  ServerConfig config;
-  config.workers = 1;
-  with_server(config, "badmagic", [](const std::string& path, Server&) {
-    FrameHeader header;
-    header.payload_len = 0;
-    unsigned char wire[kHeaderSize];
-    encode_header(header, wire);
-    wire[0] ^= 0xff;  // not "QSS" any more
+// ---- The front-end contract, run once per role ---------------------------
+//
+// svc::Server and route::Router share svc::Frontend: the listeners, the
+// per-connection reader with its timeouts and typed bad-frame replies, the
+// stats verb and the shutdown path. Every case below runs against both
+// roles (FRONTEND_CONTRACT_TEST defines Server.<Name> and Router.<Name>
+// over one body) and checks that its own role's `<prefix>.*` counter moved
+// while the other role's did not: the front end resolves those counters
+// per instance, so one process can hold a server and a router.
 
-    FrameHeader reply;
-    std::string payload;
-    ASSERT_EQ(roundtrip_raw(path, wire, "", &reply, &payload),
-              ReadResult::kFrame)
-        << "a malformed header must be answered, not silently dropped";
-    EXPECT_EQ(reply.status, Status::kError);
-    EXPECT_NE(payload.find("bad frame magic"), std::string::npos)
-        << payload;
-  });
+enum class Role { kServer, kRouter };
+
+/// One running front end of either role on a fresh /tmp socket. The
+/// router's one backend is never started: every frame these cases send is
+/// one the front end answers (or rejects) itself.
+class Front {
+ public:
+  Front(Role role, const char* tag, double read_timeout_ms = 30000.0)
+      : role_(role), path_(socket_path(tag)) {
+    if (role == Role::kServer) {
+      ServerConfig config;
+      config.socket_path = path_;
+      config.read_timeout_ms = read_timeout_ms;
+      config.workers = 1;
+      server_ = std::make_unique<Server>(std::move(config));
+      started_ = server_->start(&error_);
+    } else {
+      route::RouterConfig config;
+      config.socket_path = path_;
+      config.read_timeout_ms = read_timeout_ms;
+      config.health_interval_ms = 0.0;
+      route::BackendSpec backend;
+      backend.name = "b0";
+      backend.endpoint.socket_path = socket_path("unstarted-backend");
+      config.topology.backends.push_back(backend);
+      router_ = std::make_unique<route::Router>(std::move(config));
+      started_ = router_->start(&error_);
+    }
+  }
+  ~Front() {
+    shutdown();
+    wait();
+    std::remove(path_.c_str());
+  }
+  Front(const Front&) = delete;
+  Front& operator=(const Front&) = delete;
+
+  [[nodiscard]] bool started() const { return started_; }
+  [[nodiscard]] const std::string& error() const { return error_; }
+  [[nodiscard]] const std::string& path() const { return path_; }
+  /// This role's metric prefix, and the other role's.
+  [[nodiscard]] std::string prefix() const {
+    return role_ == Role::kServer ? "svc." : "route.";
+  }
+  [[nodiscard]] std::string other_prefix() const {
+    return role_ == Role::kServer ? "route." : "svc.";
+  }
+
+  void shutdown() {
+    if (server_) server_->shutdown();
+    if (router_) router_->shutdown();
+  }
+  void wait() {
+    if (server_) server_->wait();
+    if (router_) router_->wait();
+  }
+  [[nodiscard]] std::uint64_t responses() const {
+    return server_ ? server_->responses() : router_->responses();
+  }
+
+ private:
+  Role role_;
+  std::string path_;
+  std::string error_;
+  bool started_ = false;
+  std::unique_ptr<Server> server_;
+  std::unique_ptr<route::Router> router_;
+};
+
+/// A registry counter's value, 0 when it was never registered (reading it
+/// through registry().counter() would register it).
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& [key, value] : obs::registry().snapshot()) {
+    if (key == name) return value;
+  }
+  return 0;
 }
 
-TEST(Server, VersionMismatchGetsDistinctTypedError) {
-  ServerConfig config;
-  config.workers = 1;
-  with_server(config, "badver", [](const std::string& path, Server&) {
-    FrameHeader header;
-    unsigned char wire[kHeaderSize];
-    encode_header(header, wire);
-    wire[3] = 0x31;  // "QSS1": right protocol, old version byte
+/// Captures `<prefix>.<name>` for both roles at construction; check()
+/// expects the front's own counter to have moved and the other role's
+/// not to have (with observability compiled out, neither moves).
+class RoleCounter {
+ public:
+  RoleCounter(const Front& front, const char* name)
+      : own_(front.prefix() + name),
+        other_(front.other_prefix() + name),
+        own_before_(counter_value(own_)),
+        other_before_(counter_value(other_)) {}
 
-    FrameHeader reply;
-    std::string payload;
-    ASSERT_EQ(roundtrip_raw(path, wire, "", &reply, &payload),
-              ReadResult::kFrame);
-    EXPECT_EQ(reply.status, Status::kError);
-    EXPECT_NE(payload.find("version mismatch"), std::string::npos)
-        << payload;
-  });
+  void check() const {
+#ifdef QBSS_OBS_OFF
+    EXPECT_EQ(counter_value(own_), own_before_) << own_;
+#else
+    EXPECT_GT(counter_value(own_), own_before_) << own_ << " did not move";
+#endif
+    EXPECT_EQ(counter_value(other_), other_before_)
+        << other_ << " moved for the other role";
+  }
+
+ private:
+  std::string own_;
+  std::string other_;
+  std::uint64_t own_before_;
+  std::uint64_t other_before_;
+};
+
+#define FRONTEND_CONTRACT_TEST(Name)                              \
+  void Name##Contract(Role role);                                 \
+  TEST(Server, Name) { Name##Contract(Role::kServer); }          \
+  TEST(Router, Name) { Name##Contract(Role::kRouter); }          \
+  void Name##Contract(Role role)
+
+FRONTEND_CONTRACT_TEST(BadMagicGetsTypedErrorReplyThenClose) {
+  Front front(role, "badmagic");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter badframe(front, "badframe");
+  const RoleCounter connections(front, "connections");
+  FrameHeader header;
+  header.payload_len = 0;
+  unsigned char wire[kHeaderSize];
+  encode_header(header, wire);
+  wire[0] ^= 0xff;  // not "QSS" any more
+
+  FrameHeader reply;
+  std::string payload;
+  ASSERT_EQ(roundtrip_raw(front.path(), wire, "", &reply, &payload),
+            ReadResult::kFrame)
+      << "a malformed header must be answered, not silently dropped";
+  EXPECT_EQ(reply.status, Status::kError);
+  EXPECT_NE(payload.find("bad frame magic"), std::string::npos) << payload;
+  badframe.check();
+  connections.check();
 }
 
-TEST(Server, OverLimitPayloadLengthGetsTypedError) {
-  ServerConfig config;
-  config.workers = 1;
-  with_server(config, "overlen", [](const std::string& path, Server&) {
-    FrameHeader header;
-    unsigned char wire[kHeaderSize];
-    encode_header(header, wire);
-    // payload_len lives at bytes 12..15 (little-endian); write
-    // kMaxPayload + 1 directly into the wire image.
-    const std::uint32_t huge = kMaxPayload + 1;
-    wire[12] = static_cast<unsigned char>(huge & 0xff);
-    wire[13] = static_cast<unsigned char>((huge >> 8) & 0xff);
-    wire[14] = static_cast<unsigned char>((huge >> 16) & 0xff);
-    wire[15] = static_cast<unsigned char>((huge >> 24) & 0xff);
+FRONTEND_CONTRACT_TEST(VersionMismatchGetsDistinctTypedError) {
+  Front front(role, "badver");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter badframe(front, "badframe");
+  FrameHeader header;
+  unsigned char wire[kHeaderSize];
+  encode_header(header, wire);
+  wire[3] = 0x31;  // "QSS1": right protocol, old version byte
 
-    FrameHeader reply;
-    std::string payload;
-    ASSERT_EQ(roundtrip_raw(path, wire, "", &reply, &payload),
-              ReadResult::kFrame);
-    EXPECT_EQ(reply.status, Status::kError);
-    EXPECT_NE(payload.find("payload"), std::string::npos) << payload;
-  });
+  FrameHeader reply;
+  std::string payload;
+  ASSERT_EQ(roundtrip_raw(front.path(), wire, "", &reply, &payload),
+            ReadResult::kFrame);
+  EXPECT_EQ(reply.status, Status::kError);
+  EXPECT_NE(payload.find("version mismatch"), std::string::npos) << payload;
+  badframe.check();
 }
 
-TEST(Server, TruncatedHeaderJustClosesAndServerSurvives) {
-  ServerConfig config;
-  config.workers = 1;
-  with_server(config, "trunc", [](const std::string& path, Server&) {
-    const int fd = raw_connect(path);
-    ASSERT_GE(fd, 0);
-    const unsigned char partial[10] = {0x51, 0x53, 0x53, 0x32};
-    ASSERT_TRUE(send_raw(fd, partial, sizeof partial));
-    ::shutdown(fd, SHUT_WR);
-    // A torn header cannot be answered (there is no request id to echo);
-    // the server just closes.
+FRONTEND_CONTRACT_TEST(OverLimitPayloadLengthGetsTypedError) {
+  Front front(role, "overlen");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter badframe(front, "badframe");
+  FrameHeader header;
+  unsigned char wire[kHeaderSize];
+  encode_header(header, wire);
+  // payload_len lives at bytes 12..15 (little-endian); write
+  // kMaxPayload + 1 directly into the wire image.
+  const std::uint32_t huge = kMaxPayload + 1;
+  wire[12] = static_cast<unsigned char>(huge & 0xff);
+  wire[13] = static_cast<unsigned char>((huge >> 8) & 0xff);
+  wire[14] = static_cast<unsigned char>((huge >> 16) & 0xff);
+  wire[15] = static_cast<unsigned char>((huge >> 24) & 0xff);
+
+  FrameHeader reply;
+  std::string payload;
+  ASSERT_EQ(roundtrip_raw(front.path(), wire, "", &reply, &payload),
+            ReadResult::kFrame);
+  EXPECT_EQ(reply.status, Status::kError);
+  EXPECT_NE(payload.find("payload"), std::string::npos) << payload;
+  badframe.check();
+}
+
+FRONTEND_CONTRACT_TEST(TruncatedHeaderJustClosesAndServerSurvives) {
+  Front front(role, "trunc");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter connections(front, "connections");
+  const int fd = raw_connect(front.path());
+  ASSERT_GE(fd, 0);
+  const unsigned char partial[10] = {0x51, 0x53, 0x53, 0x32};
+  ASSERT_TRUE(send_raw(fd, partial, sizeof partial));
+  ::shutdown(fd, SHUT_WR);
+  // A torn header cannot be answered (there is no request id to echo);
+  // the front end just closes.
+  FrameHeader reply;
+  std::string payload;
+  std::string error;
+  EXPECT_EQ(read_frame(fd, &reply, &payload, &error), ReadResult::kEof);
+  ::close(fd);
+
+  // The listener survived: a well-formed request still succeeds.
+  Client client;
+  ASSERT_TRUE(client.connect_unix(front.path(), &error)) << error;
+  ASSERT_TRUE(client.ping(&error)) << error;
+  connections.check();
+}
+
+FRONTEND_CONTRACT_TEST(HeaderFuzzNeverWedgesTheServer) {
+  Front front(role, "fuzz");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter badframe(front, "badframe");
+  const RoleCounter connections(front, "connections");
+  Request request;
+  request.instance = small_instance(5);
+  const std::string body = serialize_request(request);
+  FrameHeader header;
+  header.payload_len = static_cast<std::uint32_t>(body.size());
+  header.request_id = 7;
+
+  // Corrupt each header byte in turn. Depending on the byte this is a
+  // bad magic, a bad version, an unknown status, an absurd length or a
+  // still-valid header; the invariant is that the front end always
+  // answers or closes — it never crashes and never hangs the reader.
+  // kError covers the race where it rejects the header and closes with
+  // our body bytes still unread (an RST on this end); the ping below is
+  // what proves the process itself stayed healthy.
+  for (std::size_t i = 0; i < kHeaderSize; ++i) {
+    unsigned char wire[kHeaderSize];
+    encode_header(header, wire);
+    wire[i] ^= 0xff;
     FrameHeader reply;
     std::string payload;
-    std::string error;
-    EXPECT_EQ(read_frame(fd, &reply, &payload, &error), ReadResult::kEof);
-    ::close(fd);
+    const ReadResult rc =
+        roundtrip_raw(front.path(), wire, body, &reply, &payload);
+    EXPECT_TRUE(rc == ReadResult::kFrame || rc == ReadResult::kEof ||
+                rc == ReadResult::kError)
+        << "byte " << i;
+  }
 
-    // The listener survived: a well-formed request still succeeds.
+  // And it still serves.
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(front.path(), &error)) << error;
+  ASSERT_TRUE(client.ping(&error)) << error;
+  badframe.check();
+  connections.check();
+}
+
+FRONTEND_CONTRACT_TEST(IdleConnectionIsClosedAfterTheReadTimeout) {
+  Front front(role, "slowloris", /*read_timeout_ms=*/100.0);
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter timeout(front, "timeout.read");
+  const int fd = raw_connect(front.path());
+  ASSERT_GE(fd, 0);
+  // Send nothing. The slowloris defense must disconnect us; without it
+  // this read would block forever (the 5 s cap is just a backstop).
+  set_socket_timeouts(fd, 5000.0, 0.0);
+  FrameHeader reply;
+  std::string payload;
+  std::string error;
+  const ReadResult rc = read_frame(fd, &reply, &payload, &error);
+  EXPECT_TRUE(rc == ReadResult::kEof || rc == ReadResult::kError)
+      << "the front end must drop an idle connection";
+  ::close(fd);
+
+  // Active clients are unaffected.
+  Client client;
+  ASSERT_TRUE(client.connect_unix(front.path(), &error)) << error;
+  ASSERT_TRUE(client.ping(&error)) << error;
+  timeout.check();
+}
+
+FRONTEND_CONTRACT_TEST(ClientShutdownFrameStopsTheServer) {
+  Front front(role, "shutdown");
+  ASSERT_TRUE(front.started()) << front.error();
+  const RoleCounter connections(front, "connections");
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(front.path(), &error)) << error;
+  ASSERT_TRUE(client.shutdown_server(&error)) << error;
+  front.wait();  // returns because the frame initiated shutdown
+  EXPECT_GE(front.responses(), 1u);
+  connections.check();
+}
+
+/// Reads the `readers` extra out of one JSON stats reply.
+std::size_t live_readers(Client& client) {
+  Client::Reply reply;
+  std::string error;
+  EXPECT_TRUE(client.stats("json", &reply, &error)) << error;
+  const std::optional<obs::StatsData> frame =
+      obs::parse_stats_json(reply.payload, &error);
+  EXPECT_TRUE(frame.has_value()) << error;
+  if (!frame || !frame->extra.contains("readers")) return ~std::size_t{0};
+  return std::stoul(frame->extra.at("readers"));
+}
+
+FRONTEND_CONTRACT_TEST(FinishedReadersAreJoinedNotHoarded) {
+  Front front(role, "reap");
+  ASSERT_TRUE(front.started()) << front.error();
+  // One short connection at a time: the accept loop joins each finished
+  // reader, so the count stays at the live one plus a straggler or two
+  // instead of growing with every connection ever accepted.
+  for (int i = 0; i < 200; ++i) {
     Client client;
-    ASSERT_TRUE(client.connect_unix(path, &error)) << error;
-    ASSERT_TRUE(client.ping(&error)) << error;
-  });
+    std::string error;
+    ASSERT_TRUE(client.connect_unix(front.path(), &error)) << error;
+    const std::size_t readers = live_readers(client);
+    ASSERT_GE(readers, 1u) << "connection " << i;
+    ASSERT_LE(readers, 4u) << "connection " << i;
+  }
 }
 
 TEST(Server, StatsFrameReportsLifetimeAndWindow) {
@@ -798,70 +1029,6 @@ TEST(Server, TraceIdPropagatesEndToEnd) {
   EXPECT_NE(trace.find("req.write"), std::string::npos);
 #endif
   std::remove(trace_path.c_str());
-}
-
-TEST(Server, HeaderFuzzNeverWedgesTheServer) {
-  ServerConfig config;
-  config.workers = 1;
-  with_server(config, "fuzz", [](const std::string& path, Server&) {
-    Request request;
-    request.instance = small_instance(5);
-    const std::string body = serialize_request(request);
-    FrameHeader header;
-    header.payload_len = static_cast<std::uint32_t>(body.size());
-    header.request_id = 7;
-
-    // Corrupt each header byte in turn. Depending on the byte this is a
-    // bad magic, a bad version, an unknown status, an absurd length or a
-    // still-valid header; the invariant is that the server always
-    // answers or closes — it never crashes and never hangs the reader.
-    // kError covers the race where the server rejects the header and
-    // closes with our body bytes still unread (an RST on this end); the
-    // ping below is what proves the server itself stayed healthy.
-    for (std::size_t i = 0; i < kHeaderSize; ++i) {
-      unsigned char wire[kHeaderSize];
-      encode_header(header, wire);
-      wire[i] ^= 0xff;
-      FrameHeader reply;
-      std::string payload;
-      const ReadResult rc = roundtrip_raw(path, wire, body, &reply,
-                                          &payload);
-      EXPECT_TRUE(rc == ReadResult::kFrame || rc == ReadResult::kEof ||
-                  rc == ReadResult::kError)
-          << "byte " << i;
-    }
-
-    // And the server still serves.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect_unix(path, &error)) << error;
-    ASSERT_TRUE(client.ping(&error)) << error;
-  });
-}
-
-TEST(Server, IdleConnectionIsClosedAfterTheReadTimeout) {
-  ServerConfig config;
-  config.workers = 1;
-  config.read_timeout_ms = 100.0;
-  with_server(config, "slowloris", [](const std::string& path, Server&) {
-    const int fd = raw_connect(path);
-    ASSERT_GE(fd, 0);
-    // Send nothing. The slowloris defense must disconnect us; without it
-    // this read would block forever (the 5 s cap is just a backstop).
-    set_socket_timeouts(fd, 5000.0, 0.0);
-    FrameHeader reply;
-    std::string payload;
-    std::string error;
-    const ReadResult rc = read_frame(fd, &reply, &payload, &error);
-    EXPECT_TRUE(rc == ReadResult::kEof || rc == ReadResult::kError)
-        << "server must drop an idle connection";
-    ::close(fd);
-
-    // Active clients are unaffected.
-    Client client;
-    ASSERT_TRUE(client.connect_unix(path, &error)) << error;
-    ASSERT_TRUE(client.ping(&error)) << error;
-  });
 }
 
 TEST(Server, RetryingClientSurvivesServerRestartByteIdentically) {
@@ -1171,23 +1338,6 @@ TEST(Server, ChaosSoakCompletesEveryRequestByteIdentically) {
   });
 }
 #endif  // QBSS_FAULTS_OFF
-
-TEST(Server, ClientShutdownFrameStopsTheServer) {
-  ServerConfig config;
-  config.workers = 1;
-  const std::string path = socket_path("shutdown");
-  config.socket_path = path;
-  Server server(std::move(config));
-  std::string error;
-  ASSERT_TRUE(server.start(&error)) << error;
-
-  Client client;
-  ASSERT_TRUE(client.connect_unix(path, &error)) << error;
-  ASSERT_TRUE(client.shutdown_server(&error)) << error;
-  server.wait();  // returns because the frame initiated shutdown
-  EXPECT_GE(server.responses(), 1u);
-  std::remove(path.c_str());
-}
 
 }  // namespace
 }  // namespace qbss::svc

@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -436,45 +437,39 @@ int cmd_bounds(const Options& opts) {
   return 0;
 }
 
-/// SIGINT/SIGTERM set this; the server's accept loop polls it.
+/// SIGINT/SIGTERM set this; the front end's accept loop polls it.
 std::atomic<bool> g_stop_requested{false};
 
 void handle_stop_signal(int) { g_stop_requested.store(true); }
 
-int cmd_serve(const Options& opts) {
-  svc::ServerConfig cfg;
-  cfg.socket_path = opts.get("socket", "");
-  cfg.tcp_port = static_cast<int>(opts.number("tcp", 0));
-  cfg.workers = static_cast<std::size_t>(opts.number("workers", 2));
-  cfg.queue_depth = static_cast<std::size_t>(opts.number("queue-depth", 64));
-  cfg.cache_entries = static_cast<std::size_t>(opts.number("cache", 1024));
-  cfg.cache_shards = static_cast<std::size_t>(opts.number("shards", 8));
-  cfg.cache_dir = opts.get("cache-dir", "");
-  cfg.cache_disk_mb = opts.number("cache-disk-mb", 256.0);
-  cfg.cache_sync = opts.get("sync", "interval");
-  cfg.cache_sync_interval_ms = opts.number("sync-interval-ms", 100.0);
-  cfg.batch = static_cast<std::size_t>(opts.number("batch", 4));
-  cfg.delay_ms = opts.number("delay-ms", 0.0);
-  cfg.read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
-  cfg.write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
-  cfg.drain_ms = opts.number("drain-ms", 2000.0);
-  cfg.degraded_window_ms = opts.number("degraded-ms", 0.0);
-  cfg.stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
-  cfg.stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
-  cfg.trace_sample =
-      static_cast<std::uint64_t>(opts.number("trace-sample", 16));
-  cfg.manifest_path = opts.get("manifest", "BENCH_svc.json");
-  cfg.flight_path = opts.get("flight", "");
-  cfg.external_stop = &g_stop_requested;
-  if (cfg.socket_path.empty() && cfg.tcp_port == 0) {
-    std::fprintf(stderr, "serve needs --socket PATH and/or --tcp PORT\n");
+/// The front-end setup `serve` and `route` share: parses the shared flags
+/// into `cfg` (`--manifest` defaults to `manifest_default`), runs
+/// `role_flags` for the role's own, then points the crash handler at the
+/// flight path, arms the --faults/QBSS_FAULTS plan and installs the stop
+/// signals. Returns 0, or the exit code to leave with. `role` tags error
+/// lines ("serve: ..."), `tag` info lines ("[svc] ...").
+int setup_frontend(const Options& opts, const char* role, const char* tag,
+                   const char* manifest_default, svc::FrontendConfig* cfg,
+                   const std::function<int()>& role_flags) {
+  cfg->socket_path = opts.get("socket", "");
+  cfg->tcp_port = static_cast<int>(opts.number("tcp", 0));
+  if (cfg->socket_path.empty() && cfg->tcp_port == 0) {
+    std::fprintf(stderr, "%s needs --socket PATH and/or --tcp PORT\n", role);
     return 2;
   }
+  cfg->read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
+  cfg->write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
+  cfg->stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
+  cfg->stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
+  cfg->manifest_path = opts.get("manifest", manifest_default);
+  cfg->flight_path = opts.get("flight", "");
+  cfg->external_stop = &g_stop_requested;
+  if (const int rc = role_flags(); rc != 0) return rc;
 
   // The crash handler dumps the flight recorder before re-raising; point
-  // it at the same file the server's automatic triggers use so a crash
-  // and a fault trip tell one story.
-  if (!cfg.flight_path.empty()) obs::set_flight_path(cfg.flight_path);
+  // it at the same file the automatic triggers use so a crash and a fault
+  // trip tell one story.
+  if (!cfg->flight_path.empty()) obs::set_flight_path(cfg->flight_path);
   obs::install_crash_handler();
 
   // Fault plan: --faults wins over the QBSS_FAULTS environment variable.
@@ -485,52 +480,91 @@ int cmd_serve(const Options& opts) {
   if (!fault_plan.empty()) {
 #ifdef QBSS_FAULTS_OFF
     std::fprintf(stderr,
-                 "serve: fault plan \"%s\" requested but this binary was "
+                 "%s: fault plan \"%s\" requested but this binary was "
                  "built with -DQBSS_FAULTS=OFF\n",
-                 fault_plan.c_str());
+                 role, fault_plan.c_str());
     return 2;
 #else
     faults::FaultPlan plan;
     std::string plan_error;
     if (!faults::parse_plan(fault_plan, &plan, &plan_error)) {
-      std::fprintf(stderr, "serve: bad fault plan: %s\n",
+      std::fprintf(stderr, "%s: bad fault plan: %s\n", role,
                    plan_error.c_str());
       return 2;
     }
     faults::injector().configure(plan);
-    cfg.manifest_extra.emplace_back("fault_plan", fault_plan);
-    std::fprintf(stderr, "[svc] fault injection active: %s\n",
+    cfg->manifest_extra.emplace_back("fault_plan", fault_plan);
+    std::fprintf(stderr, "[%s] fault injection active: %s\n", tag,
                  fault_plan.c_str());
 #endif
   }
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
+  return 0;
+}
 
-  svc::Server server(cfg);
+/// Starts `front` (a svc::Server or route::Router), reports where it
+/// listens, runs `ready` for the role's own banner and blocks until it
+/// shuts down. The process exit code.
+template <typename Front>
+int run_frontend(Front& front, const char* role, const char* tag,
+                 const svc::FrontendConfig& cfg,
+                 const std::function<void()>& ready) {
   std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "serve: %s\n", error.c_str());
+  if (!front.start(&error)) {
+    std::fprintf(stderr, "%s: %s\n", role, error.c_str());
     return 1;
   }
   if (!cfg.socket_path.empty()) {
-    std::fprintf(stderr, "[svc] listening on %s\n", cfg.socket_path.c_str());
+    std::fprintf(stderr, "[%s] listening on %s\n", tag,
+                 cfg.socket_path.c_str());
   }
   if (cfg.tcp_port != 0) {
-    std::fprintf(stderr, "[svc] listening on 127.0.0.1:%d\n", cfg.tcp_port);
+    std::fprintf(stderr, "[%s] listening on 127.0.0.1:%d\n", tag,
+                 cfg.tcp_port);
   }
-  if (!cfg.cache_dir.empty()) {
-    std::fprintf(stderr, "[svc] disk tier %s (budget %.0f MiB, sync %s)\n",
-                 cfg.cache_dir.c_str(), cfg.cache_disk_mb,
-                 cfg.cache_sync.c_str());
-  }
-  std::fprintf(stderr,
-               "[svc] workers=%zu queue_depth=%zu cache=%zu ready\n",
-               cfg.workers, cfg.queue_depth, cfg.cache_entries);
-  server.wait();
-  std::fprintf(stderr, "[svc] shut down after %llu responses\n",
-               static_cast<unsigned long long>(server.responses()));
+  ready();
+  front.wait();
+  std::fprintf(stderr, "[%s] shut down after %llu responses\n", tag,
+               static_cast<unsigned long long>(front.responses()));
   return 0;
+}
+
+int cmd_serve(const Options& opts) {
+  svc::ServerConfig cfg;
+  const int rc = setup_frontend(opts, "serve", "svc", "BENCH_svc.json",
+                                &cfg, [&] {
+    cfg.workers = static_cast<std::size_t>(opts.number("workers", 2));
+    cfg.queue_depth =
+        static_cast<std::size_t>(opts.number("queue-depth", 64));
+    cfg.cache_entries = static_cast<std::size_t>(opts.number("cache", 1024));
+    cfg.cache_shards = static_cast<std::size_t>(opts.number("shards", 8));
+    cfg.cache_dir = opts.get("cache-dir", "");
+    cfg.cache_disk_mb = opts.number("cache-disk-mb", 256.0);
+    cfg.cache_sync = opts.get("sync", "interval");
+    cfg.cache_sync_interval_ms = opts.number("sync-interval-ms", 100.0);
+    cfg.batch = static_cast<std::size_t>(opts.number("batch", 4));
+    cfg.delay_ms = opts.number("delay-ms", 0.0);
+    cfg.drain_ms = opts.number("drain-ms", 2000.0);
+    cfg.degraded_window_ms = opts.number("degraded-ms", 0.0);
+    cfg.trace_sample =
+        static_cast<std::uint64_t>(opts.number("trace-sample", 16));
+    return 0;
+  });
+  if (rc != 0) return rc;
+
+  svc::Server server(cfg);
+  return run_frontend(server, "serve", "svc", cfg, [&] {
+    if (!cfg.cache_dir.empty()) {
+      std::fprintf(stderr, "[svc] disk tier %s (budget %.0f MiB, sync %s)\n",
+                   cfg.cache_dir.c_str(), cfg.cache_disk_mb,
+                   cfg.cache_sync.c_str());
+    }
+    std::fprintf(stderr,
+                 "[svc] workers=%zu queue_depth=%zu cache=%zu ready\n",
+                 cfg.workers, cfg.queue_depth, cfg.cache_entries);
+  });
 }
 
 /// `qbss cache stats|verify|compact --dir DIR` — offline tooling over a
@@ -620,93 +654,40 @@ int cmd_cache(const Options& opts) {
 
 int cmd_route(const Options& opts) {
   route::RouterConfig cfg;
-  cfg.socket_path = opts.get("socket", "");
-  cfg.tcp_port = static_cast<int>(opts.number("tcp", 0));
-  if (cfg.socket_path.empty() && cfg.tcp_port == 0) {
-    std::fprintf(stderr, "route needs --socket PATH and/or --tcp PORT\n");
-    return 2;
-  }
-  const std::string topology_path = opts.get("topology", "");
-  if (topology_path.empty()) {
-    std::fprintf(stderr, "route needs --topology FILE\n");
-    return 2;
-  }
-  std::string error;
-  if (!route::load_topology_file(topology_path, &cfg.topology, &error)) {
-    std::fprintf(stderr, "route: %s\n", error.c_str());
-    return 2;
-  }
-  cfg.replicas = static_cast<std::size_t>(opts.number("replicas", 1));
-  cfg.hot_threshold =
-      static_cast<std::uint64_t>(opts.number("hot-threshold", 16));
-  cfg.health_interval_ms = opts.number("health-interval-ms", 500.0);
-  cfg.breaker_failures =
-      static_cast<int>(opts.number("breaker-failures", 3));
-  cfg.breaker_open_ms = opts.number("breaker-open-ms", 2000.0);
-  cfg.backend_timeout_ms = opts.number("backend-timeout-ms", 5000.0);
-  cfg.backend_retries = static_cast<int>(opts.number("backend-retries", 2));
-  cfg.pool_capacity = static_cast<std::size_t>(opts.number("pool", 8));
-  cfg.read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
-  cfg.write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
-  cfg.stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
-  cfg.stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
-  cfg.manifest_path = opts.get("manifest", "BENCH_route.json");
-  cfg.flight_path = opts.get("flight", "");
-  cfg.external_stop = &g_stop_requested;
-  cfg.manifest_extra.emplace_back("topology", topology_path);
-
-  if (!cfg.flight_path.empty()) obs::set_flight_path(cfg.flight_path);
-  obs::install_crash_handler();
-
-  std::string fault_plan = opts.get("faults", "");
-  if (fault_plan.empty()) {
-    if (const char* env = std::getenv("QBSS_FAULTS")) fault_plan = env;
-  }
-  if (!fault_plan.empty()) {
-#ifdef QBSS_FAULTS_OFF
-    std::fprintf(stderr,
-                 "route: fault plan \"%s\" requested but this binary was "
-                 "built with -DQBSS_FAULTS=OFF\n",
-                 fault_plan.c_str());
-    return 2;
-#else
-    faults::FaultPlan plan;
-    std::string plan_error;
-    if (!faults::parse_plan(fault_plan, &plan, &plan_error)) {
-      std::fprintf(stderr, "route: bad fault plan: %s\n",
-                   plan_error.c_str());
+  std::string topology_path;
+  const int rc = setup_frontend(opts, "route", "route", "BENCH_route.json",
+                                &cfg, [&] {
+    topology_path = opts.get("topology", "");
+    if (topology_path.empty()) {
+      std::fprintf(stderr, "route needs --topology FILE\n");
       return 2;
     }
-    faults::injector().configure(plan);
-    cfg.manifest_extra.emplace_back("fault_plan", fault_plan);
-    std::fprintf(stderr, "[route] fault injection active: %s\n",
-                 fault_plan.c_str());
-#endif
-  }
+    std::string error;
+    if (!route::load_topology_file(topology_path, &cfg.topology, &error)) {
+      std::fprintf(stderr, "route: %s\n", error.c_str());
+      return 2;
+    }
+    cfg.replicas = static_cast<std::size_t>(opts.number("replicas", 1));
+    cfg.hot_threshold =
+        static_cast<std::uint64_t>(opts.number("hot-threshold", 16));
+    cfg.health_interval_ms = opts.number("health-interval-ms", 500.0);
+    cfg.breaker_failures =
+        static_cast<int>(opts.number("breaker-failures", 3));
+    cfg.breaker_open_ms = opts.number("breaker-open-ms", 2000.0);
+    cfg.backend_timeout_ms = opts.number("backend-timeout-ms", 5000.0);
+    cfg.backend_retries =
+        static_cast<int>(opts.number("backend-retries", 2));
+    cfg.pool_capacity = static_cast<std::size_t>(opts.number("pool", 8));
+    cfg.manifest_extra.emplace_back("topology", topology_path);
+    return 0;
+  });
+  if (rc != 0) return rc;
 
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-
-  const std::string socket_path = cfg.socket_path;
-  const int tcp_port = cfg.tcp_port;
-  const std::size_t fleet = cfg.topology.backends.size();
-  route::Router router(std::move(cfg));
-  if (!router.start(&error)) {
-    std::fprintf(stderr, "route: %s\n", error.c_str());
-    return 1;
-  }
-  if (!socket_path.empty()) {
-    std::fprintf(stderr, "[route] listening on %s\n", socket_path.c_str());
-  }
-  if (tcp_port != 0) {
-    std::fprintf(stderr, "[route] listening on 127.0.0.1:%d\n", tcp_port);
-  }
-  std::fprintf(stderr, "[route] fronting %zu backend(s) from %s\n", fleet,
-               topology_path.c_str());
-  router.wait();
-  std::fprintf(stderr, "[route] shut down after %llu responses\n",
-               static_cast<unsigned long long>(router.responses()));
-  return 0;
+  route::Router router(cfg);
+  return run_frontend(router, "route", "route", cfg, [&] {
+    std::fprintf(stderr, "[route] fronting %zu backend(s) from %s\n",
+                 cfg.topology.backends.size(), topology_path.c_str());
+  });
 }
 
 /// Parses the --socket/--tcp pair shared by scrape and top. False (with
